@@ -5,11 +5,24 @@
 //! loop and asserts the heap was never touched. Storage bookkeeping
 //! (descriptor admission into a node's B-tree) is measured separately and
 //! must stay amortized — container growth only, not per-chunk.
+//!
+//! The counter is process-wide: it sees every thread's allocations, so a
+//! leg that fans out to scoped worker threads is counted in full (a
+//! thread-local counter would undercount it). libtest runs the tests of
+//! this binary concurrently, so every `#[test]` here takes the `MEASURE`
+//! lock first and holds it for its whole body — set-up included, since
+//! one test's set-up allocations would otherwise land in another test's
+//! measured window. A new test that skips the lock re-opens that race.
+//! The one remaining outside source of allocations is libtest's own
+//! thread spawn and teardown; it only falls inside a window if a spawn
+//! overlaps a measurement, and every test warms up or sets up before its
+//! first window.
 
 use elastic_array_db::array::chunk_of;
 use elastic_array_db::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -38,6 +51,15 @@ fn allocation_count() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Serializes the tests of this binary; see the module docs.
+static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Takes `MEASURE`. A poisoned lock is taken anyway, so one failing test
+/// does not turn the others' results into poison errors.
+fn measure() -> MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn schema_3d() -> ArraySchema {
     ArraySchema::parse("A<v:double>[t=0:*,16, x=0:511,16, y=0:511,16]").unwrap()
 }
@@ -58,6 +80,7 @@ fn stateless_kinds() -> Vec<PartitionerKind> {
 
 #[test]
 fn routing_path_never_allocates() {
+    let _measure = measure();
     let schema = schema_3d();
     let cluster = Cluster::new(8, u64::MAX, CostModel::default()).unwrap();
     let grid = GridHint::new(vec![64, 32, 32]);
@@ -100,6 +123,7 @@ fn routing_path_never_allocates() {
 /// lazily.
 #[test]
 fn query_node_of_lookup_never_allocates() {
+    let _measure = measure();
     let mut cluster = Cluster::new(4, u64::MAX, CostModel::default()).unwrap();
     assert!(cluster.register_array(ArrayId(0), &[32, 32]));
     let schema = ArraySchema::parse("A<v:double>[x=0:511,16, y=0:511,16]").unwrap();
@@ -146,6 +170,7 @@ fn query_node_of_lookup_never_allocates() {
 /// scan walks a borrowed slice, and `PayloadRead` moves by value).
 #[test]
 fn failover_payload_reads_never_allocate() {
+    let _measure = measure();
     use elastic_array_db::array::Chunk;
 
     let mut cluster = Cluster::with_replication(4, u64::MAX, CostModel::default(), 2).unwrap();
@@ -201,6 +226,7 @@ fn failover_payload_reads_never_allocate() {
 /// blow the bound.
 #[test]
 fn materialized_flat_ingest_allocations_are_amortized_per_row() {
+    let _measure = measure();
     use std::sync::Arc;
 
     let rows_n: i64 = 100_000;
@@ -293,6 +319,7 @@ fn materialized_flat_ingest_allocations_are_amortized_per_row() {
 /// dictionary path really does skip per-row string work.
 #[test]
 fn dict_scatter_allocations_are_amortized_and_string_free() {
+    let _measure = measure();
     use elastic_array_db::array::StringEncoding;
 
     let rows_n: i64 = 100_000;
@@ -360,6 +387,7 @@ fn dict_scatter_allocations_are_amortized_and_string_free() {
 
 #[test]
 fn dense_placement_insert_is_allocation_free_after_warmup() {
+    let _measure = measure();
     let mut cluster = Cluster::new(8, u64::MAX, CostModel::default()).unwrap();
     assert!(cluster.register_array(ArrayId(0), &[64, 32, 32]));
     let grid = GridHint::new(vec![64, 32, 32]);
